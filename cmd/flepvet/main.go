@@ -1,8 +1,7 @@
 // Command flepvet runs the FLEP analyzer suite (internal/lint): the
 // determinism, map-order, loop-purity, lock-discipline, and
-// metric-hygiene contracts plus the interprocedural dataflow
-// analyzers — pool ownership, lock order, and the exactly-once
-// ledger — mechanically enforced.
+// metric-hygiene contracts plus the interprocedural lock-order and
+// exactly-once ledger analyzers — mechanically enforced.
 //
 // Two modes share one driver:
 //

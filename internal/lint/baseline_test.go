@@ -40,11 +40,11 @@ func TestBaselineFilterMatchesWithoutLineNumbers(t *testing.T) {
 func TestBaselineFilterDistinguishesCategoryAndFile(t *testing.T) {
 	root := "/repo"
 	bl := &Baseline{Findings: []BaselineEntry{
-		{File: "a.go", Analyzer: "poolownership", Category: "poolleak", Message: "m"},
+		{File: "a.go", Analyzer: "lockorder", Category: "lockcycle", Message: "m"},
 	}}
 	findings := []Finding{
-		mkFinding("/repo/a.go", 1, "poolownership", "doubleput", "m"), // category differs
-		mkFinding("/repo/b.go", 1, "poolownership", "poolleak", "m"),  // file differs
+		mkFinding("/repo/a.go", 1, "lockorder", "lockinvert", "m"), // category differs
+		mkFinding("/repo/b.go", 1, "lockorder", "lockcycle", "m"),  // file differs
 	}
 	kept, suppressed := bl.Filter(root, findings)
 	if len(suppressed) != 0 || len(kept) != 2 {
@@ -89,7 +89,7 @@ func TestEncodeJSONEmptyIsArray(t *testing.T) {
 // be committed verbatim as a baseline that then suppresses exactly
 // those findings: the migration-window workflow.
 func TestBaselineRoundTripFromFixture(t *testing.T) {
-	findings, _ := runFixture(t, "fixtures/poolown", PoolOwnershipAnalyzer)
+	findings, _ := runFixture(t, "fixtures/lockorder", LockOrderAnalyzer)
 	if len(findings) == 0 {
 		t.Fatal("fixture produced no findings")
 	}

@@ -1,7 +1,7 @@
 package lint
 
 // callgraph.go builds the same-module call graph the interprocedural
-// analyzers (poolownership, lockorder, ledger) share. Nodes are keyed
+// analyzers (lockorder, ledger) share. Nodes are keyed
 // by a stable textual function ID — "pkgpath.Func" or
 // "pkgpath.(Recv).Method" — rather than by *types.Func, because the
 // vettool protocol typechecks every package independently and the

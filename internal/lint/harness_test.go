@@ -221,10 +221,6 @@ func TestAllowAnnotations(t *testing.T) {
 
 // ---------------------------------------------------- dataflow analyzers
 
-func TestPoolOwnershipFixture(t *testing.T) {
-	checkFixture(t, "fixtures/poolown", PoolOwnershipAnalyzer)
-}
-
 func TestLockOrderFixture(t *testing.T) {
 	checkFixture(t, "fixtures/lockorder", LockOrderAnalyzer)
 }

@@ -1,29 +1,29 @@
 package lint
 
-// interp.go is the forward dataflow engine under poolownership and
-// ledger: a structured abstract interpreter over function bodies that
-// keeps a bounded *set* of path states (a disjunctive must/may lattice
-// over local values) instead of a single joined state, so correlations
-// like "parked was set exactly on the path where q escaped into the
-// dep table" survive to the branch that tests them.
+// interp.go is the forward dataflow engine under ledger: a structured
+// abstract interpreter over function bodies that keeps a bounded *set*
+// of path states (a disjunctive must/may lattice over one fact mask)
+// instead of a single joined state, so correlations like "parked was set
+// exactly on the path where depAdmit counted the park" survive to the
+// branch that tests them.
 //
 // The engine owns control flow, condition refinement, and the
 // conditional-summary protocol; a domain (ipDomain) owns the meaning of
-// calls, assignments, sends, receives, and exits. Summaries are
-// per-exit: each callee return path contributes a tuple of abstract
-// result values (nil / non-nil / constant / unknown) plus an opaque
-// payload the domain interprets (escape bits, counter families). At a
-// call site the caller FORKS one path state per payload group and
-// remembers the group's result tuples; a later `if err != nil` or
-// `switch verdict { case depParkStage: ... }` then filters states whose
-// tuples cannot match, which is exactly how serveLaunch's post-depAdmit
-// putLaunchReq calls are proven safe.
+// calls, increments, and exits. Summaries are per-exit: each callee
+// return path contributes a tuple of abstract result values (nil /
+// non-nil / constant / unknown) plus an opaque payload the domain
+// interprets (ledger's counter families). At a call site the caller
+// FORKS one path state per payload group and remembers the group's
+// result tuples; a later `if err != nil` or `switch verdict { case
+// depParkStage: ... }` then filters states whose tuples cannot match,
+// which is exactly how each arm after serveLaunch's depAdmit call is
+// proven to count one outcome.
 //
 // Soundness caveats (documented in DESIGN.md §11): loops are unrolled
-// to a small fixed bound (the domains' facts are monotone sets, so this
-// converges in practice); paths beyond maxPathStates are joined with
-// loss of correlation (never of may-facts); dynamic calls (function
-// values, interface methods) are treated by each domain's conservative
+// to a small fixed bound (the fact mask only grows, so this converges in
+// practice); paths beyond maxPathStates are joined with loss of
+// correlation (never of may-facts); dynamic calls (function values,
+// interface methods) are treated by the domain's conservative
 // unknown-call rule.
 
 import (
@@ -32,7 +32,6 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -155,31 +154,21 @@ type condBind struct {
 	slot  int
 }
 
-// pathState is one member of the disjunctive state set: domain facts
-// keyed by abstract value ID, an alias table from variables to value
-// IDs, constant-bool facts, pending conditional bindings, and the
+// pathState is one member of the disjunctive state set: the domain's
+// fact mask, constant-bool facts, pending conditional bindings, and the
 // deferred calls registered so far on this path.
 type pathState struct {
-	facts  map[int]uint64
-	vals   map[types.Object]int
+	mask   uint64
 	bools  map[types.Object]int8 // +1 true, -1 false
 	conds  map[types.Object]condBind
 	defers []*ast.CallExpr
-	// branch is the most recent select-clause decision point; implicit
-	// exits report there so a leak on a timeout path is annotatable at
-	// its `case` line rather than at the closing brace.
-	branch token.Pos
-	// pendingCall/pendingGroup/pendingOrigin carry call results to the
-	// enclosing assignment within one statement.
-	pendingCall   *ast.CallExpr
-	pendingGroup  *condGroup
-	pendingOrigin bool
+	// pendingGroup carries a call's result tuples to the enclosing
+	// assignment within one statement.
+	pendingGroup *condGroup
 }
 
 func newPathState() *pathState {
 	return &pathState{
-		facts: map[int]uint64{},
-		vals:  map[types.Object]int{},
 		bools: map[types.Object]int8{},
 		conds: map[types.Object]condBind{},
 	}
@@ -187,18 +176,10 @@ func newPathState() *pathState {
 
 func (st *pathState) clone() *pathState {
 	c := &pathState{
-		facts:  make(map[int]uint64, len(st.facts)),
-		vals:   make(map[types.Object]int, len(st.vals)),
+		mask:   st.mask,
 		bools:  make(map[types.Object]int8, len(st.bools)),
 		conds:  make(map[types.Object]condBind, len(st.conds)),
 		defers: append([]*ast.CallExpr(nil), st.defers...),
-		branch: st.branch,
-	}
-	for k, v := range st.facts {
-		c.facts[k] = v
-	}
-	for k, v := range st.vals {
-		c.vals[k] = v
 	}
 	for k, v := range st.bools {
 		c.bools[k] = v
@@ -236,29 +217,9 @@ func (st *pathState) narrowGroup(old *condGroup, keep func([]resVal) bool) bool 
 // states than it was given).
 type ipDomain interface {
 	call(in []*pathState, call *ast.CallExpr, w *walker) []*pathState
-	atom(st *pathState, n ast.Node)
-	assign(st *pathState, as *ast.AssignStmt)
 	incDec(st *pathState, s *ast.IncDecStmt)
-	send(st *pathState, s *ast.SendStmt)
-	recv(st *pathState, x ast.Expr)
-	funcLit(st *pathState, lit *ast.FuncLit)
-	goStmt(st *pathState, call *ast.CallExpr)
-	rangeBind(st *pathState, rng *ast.RangeStmt)
 	exit(st *pathState, ret *ast.ReturnStmt, pos token.Pos)
 }
-
-// baseDomain is the all-no-op embedding base.
-type baseDomain struct{}
-
-func (baseDomain) atom(*pathState, ast.Node)                   {}
-func (baseDomain) assign(*pathState, *ast.AssignStmt)          {}
-func (baseDomain) incDec(*pathState, *ast.IncDecStmt)          {}
-func (baseDomain) send(*pathState, *ast.SendStmt)              {}
-func (baseDomain) recv(*pathState, ast.Expr)                   {}
-func (baseDomain) funcLit(*pathState, *ast.FuncLit)            {}
-func (baseDomain) goStmt(*pathState, *ast.CallExpr)            {}
-func (baseDomain) rangeBind(*pathState, *ast.RangeStmt)        {}
-func (baseDomain) exit(*pathState, *ast.ReturnStmt, token.Pos) {}
 
 // ---------------------------------------------------------------- walker
 
@@ -289,17 +250,10 @@ type walker struct {
 	frames []*ctrlFrame
 	// pendingLabel is consumed by the next loop/switch/select statement.
 	pendingLabel string
-	nextVal      int
 }
 
 func newWalker(info *types.Info, dom ipDomain, fnEnd token.Pos) *walker {
 	return &walker{info: info, dom: dom, fnEnd: fnEnd}
-}
-
-// newValue allocates a fresh abstract value ID.
-func (w *walker) newValue() int {
-	w.nextVal++
-	return w.nextVal
 }
 
 // run walks a function body from one initial state, delivering every
@@ -312,33 +266,28 @@ func (w *walker) run(body *ast.BlockStmt, init *pathState) {
 }
 
 // doExit applies the path's deferred calls (LIFO) and hands the state
-// to the domain. Implicit exits report at the last select decision
-// point when one exists.
+// to the domain.
 func (w *walker) doExit(st *pathState, ret *ast.ReturnStmt, pos token.Pos) {
 	states := []*pathState{st}
 	for i := len(st.defers) - 1; i >= 0; i-- {
 		states = w.call(states, st.defers[i])
 	}
 	for _, s := range states {
-		p := pos
-		if ret == nil && s.branch.IsValid() {
-			p = s.branch
-		}
-		w.dom.exit(s, ret, p)
+		w.dom.exit(s, ret, pos)
 	}
 }
 
-// cap trims a state set that outgrew the bound: the overflow is joined
-// into the last kept state with loss of correlation (alias entries and
-// bindings that disagree are dropped; facts are OR-joined).
+// capStates trims a state set that outgrew the bound: the overflow is
+// joined into the last kept state with loss of correlation (bindings
+// that disagree are dropped; masks are OR-joined).
 func capStates(states []*pathState) []*pathState {
 	if len(states) <= maxPathStates {
 		return states
 	}
-	// First try a lossless-in-facts merge: states whose fact maps agree
-	// (and whose defers/pending slots are identical) are folded into one
-	// representative, dropping only the vals/bools/conds entries the
-	// members disagree on. Branches whose condition the engine cannot
+	// First try a lossless-in-facts merge: states whose masks agree (and
+	// whose defers/pending slots are identical) are folded into one
+	// representative, dropping only the bools/conds entries the members
+	// disagree on. Branches whose condition the engine cannot
 	// refine clone both sides into identical states, so this typically
 	// collapses the set well under the cap without OR-joining facts.
 	byKey := map[string]*pathState{}
@@ -362,9 +311,7 @@ func capStates(states []*pathState) []*pathState {
 	kept := merged[:maxPathStates]
 	sink := kept[maxPathStates-1]
 	for _, st := range merged[maxPathStates:] {
-		for id, f := range st.facts {
-			sink.facts[id] |= f
-		}
+		sink.mask |= st.mask
 		sink.absorb(st)
 		sink.conds = map[types.Object]condBind{}
 	}
@@ -372,35 +319,20 @@ func capStates(states []*pathState) []*pathState {
 }
 
 // mergeKey fingerprints the parts of a state that must match exactly for
-// two states to be folded into one: the fact map, the defer stack, the
-// branch position, and any in-flight call binding.
+// two states to be folded into one: the mask, the defer stack, and any
+// in-flight call binding.
 func (st *pathState) mergeKey() string {
-	ids := make([]int, 0, len(st.facts))
-	for id, f := range st.facts {
-		if f != 0 {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
 	var b strings.Builder
-	for _, id := range ids {
-		fmt.Fprintf(&b, "%d=%x;", id, st.facts[id])
-	}
-	fmt.Fprintf(&b, "@%d", st.branch)
+	fmt.Fprintf(&b, "%x", st.mask)
 	for _, d := range st.defers {
 		fmt.Fprintf(&b, "|%p", d)
 	}
-	fmt.Fprintf(&b, "!%p.%p.%t", st.pendingCall, st.pendingGroup, st.pendingOrigin)
+	fmt.Fprintf(&b, "!%p", st.pendingGroup)
 	return b.String()
 }
 
 // absorb folds other into st, keeping only the refinements both agree on.
 func (st *pathState) absorb(other *pathState) {
-	for obj, id := range st.vals {
-		if other.vals[obj] != id {
-			delete(st.vals, obj)
-		}
-	}
 	for obj, v := range st.bools {
 		if other.bools[obj] != v {
 			delete(st.bools, obj)
@@ -422,7 +354,7 @@ func (w *walker) stmts(in []*pathState, list []ast.Stmt) []*pathState {
 		in = capStates(w.stmt(in, s))
 		// Pending call results do not survive a statement boundary.
 		for _, st := range in {
-			st.pendingCall, st.pendingGroup, st.pendingOrigin = nil, nil, false
+			st.pendingGroup = nil
 		}
 	}
 	return in
@@ -443,7 +375,7 @@ func (w *walker) stmt(in []*pathState, s ast.Stmt) []*pathState {
 		if call, ok := stripParens(s.X).(*ast.CallExpr); ok {
 			if id, ok := stripParens(call.Fun).(*ast.Ident); ok && id.Name == "panic" && w.info.Uses[id] == nil {
 				w.expr(in, s.X)
-				return nil // aborting path: no ledger/pool exit obligations
+				return nil // aborting path: no ledger exit obligations
 			}
 		}
 		return w.expr(in, s.X)
@@ -459,11 +391,7 @@ func (w *walker) stmt(in []*pathState, s ast.Stmt) []*pathState {
 		return out
 	case *ast.SendStmt:
 		out := w.expr(in, s.Chan)
-		out = w.expr(out, s.Value)
-		for _, st := range out {
-			w.dom.send(st, s)
-		}
-		return out
+		return w.expr(out, s.Value)
 	case *ast.DeferStmt:
 		for _, st := range in {
 			st.defers = append(st.defers, s.Call)
@@ -473,9 +401,6 @@ func (w *walker) stmt(in []*pathState, s ast.Stmt) []*pathState {
 		out := in
 		for _, a := range s.Call.Args {
 			out = w.expr(out, a)
-		}
-		for _, st := range out {
-			w.dom.goStmt(st, s.Call)
 		}
 		return out
 	case *ast.ReturnStmt:
@@ -631,9 +556,6 @@ func (w *walker) rangeStmt(in []*pathState, s *ast.RangeStmt) []*pathState {
 	w.frames = append(w.frames, frame)
 	cur := in
 	for iter := 0; iter < loopUnroll && len(cur) > 0; iter++ {
-		for _, st := range cur {
-			w.dom.rangeBind(st, s)
-		}
 		cur = w.stmt(cur, s.Body)
 		cur = append(cur, frame.cont...)
 		frame.cont = nil
@@ -838,9 +760,6 @@ func (w *walker) selectStmt(in []*pathState, s *ast.SelectStmt) []*pathState {
 	for _, cs := range s.Body.List {
 		cc := cs.(*ast.CommClause)
 		clause := cloneAll(in)
-		for _, st := range clause {
-			st.branch = cc.Pos()
-		}
 		if cc.Comm != nil {
 			clause = w.stmt(clause, cc.Comm)
 		}
@@ -857,8 +776,8 @@ func (w *walker) assign(in []*pathState, as *ast.AssignStmt) []*pathState {
 	for _, r := range as.Rhs {
 		in = w.expr(in, r)
 	}
-	// Walk compound LHS expressions (index/selector bases) for their
-	// atom effects; plain idents are binding targets, not uses.
+	// Walk compound LHS expressions (index/selector bases) for the calls
+	// they contain; plain idents are binding targets, not uses.
 	for _, l := range as.Lhs {
 		if _, ok := stripParens(l).(*ast.Ident); !ok {
 			in = w.expr(in, l)
@@ -899,7 +818,6 @@ func (w *walker) assign(in []*pathState, as *ast.AssignStmt) []*pathState {
 				setBoolFact(st, obj, w.info, as.Rhs[i])
 			}
 		}
-		w.dom.assign(st, as)
 	}
 	return in
 }
@@ -928,27 +846,12 @@ func (w *walker) expr(in []*pathState, e ast.Expr) []*pathState {
 	switch e := e.(type) {
 	case *ast.ParenExpr:
 		return w.expr(in, e.X)
-	case *ast.Ident:
-		for _, st := range in {
-			w.dom.atom(st, e)
-		}
-		return in
 	case *ast.SelectorExpr:
-		in = w.expr(in, e.X)
-		for _, st := range in {
-			w.dom.atom(st, e)
-		}
-		return in
+		return w.expr(in, e.X)
 	case *ast.CallExpr:
 		return w.call(in, e)
 	case *ast.UnaryExpr:
-		in = w.expr(in, e.X)
-		if e.Op == token.ARROW {
-			for _, st := range in {
-				w.dom.recv(st, e.X)
-			}
-		}
-		return in
+		return w.expr(in, e.X)
 	case *ast.BinaryExpr:
 		in = w.expr(in, e.X)
 		return w.expr(in, e.Y)
@@ -974,17 +877,9 @@ func (w *walker) expr(in []*pathState, e ast.Expr) []*pathState {
 		for _, el := range e.Elts {
 			in = w.expr(in, el)
 		}
-		for _, st := range in {
-			w.dom.atom(st, e)
-		}
 		return in
 	case *ast.KeyValueExpr:
 		return w.expr(in, e.Value)
-	case *ast.FuncLit:
-		for _, st := range in {
-			w.dom.funcLit(st, e)
-		}
-		return in
 	default:
 		return in
 	}
@@ -997,16 +892,12 @@ func (w *walker) call(in []*pathState, call *ast.CallExpr) []*pathState {
 }
 
 // walkCallArgs traverses the callee expression's receiver chain and
-// every argument, skipping any argument in skip (a release call handles
-// its released argument itself, so the use-check does not double-fire).
-func (w *walker) walkCallArgs(in []*pathState, call *ast.CallExpr, skip map[ast.Expr]bool) []*pathState {
+// every argument.
+func (w *walker) walkCallArgs(in []*pathState, call *ast.CallExpr) []*pathState {
 	if sel, ok := stripParens(call.Fun).(*ast.SelectorExpr); ok {
 		in = w.expr(in, sel.X)
 	}
 	for _, a := range call.Args {
-		if skip != nil && skip[a] {
-			continue
-		}
 		in = w.expr(in, a)
 	}
 	return in
@@ -1014,7 +905,7 @@ func (w *walker) walkCallArgs(in []*pathState, call *ast.CallExpr, skip map[ast.
 
 // forkSummary applies a callee summary: one successor state per payload
 // group, with the group's result tuples bound for later refinement.
-func (w *walker) forkSummary(in []*pathState, call *ast.CallExpr, sum *funcSummary, apply func(st *pathState, ex *sumExit)) []*pathState {
+func (w *walker) forkSummary(in []*pathState, sum *funcSummary, apply func(st *pathState, ex *sumExit)) []*pathState {
 	var out []*pathState
 	for _, st := range in {
 		for i, ex := range sum.exits {
@@ -1022,10 +913,7 @@ func (w *walker) forkSummary(in []*pathState, call *ast.CallExpr, sum *funcSumma
 			if i < len(sum.exits)-1 {
 				st2 = st.clone()
 			}
-			if apply != nil {
-				apply(st2, ex)
-			}
-			st2.pendingCall = call
+			apply(st2, ex)
 			st2.pendingGroup = &condGroup{tuples: ex.tuples}
 			out = append(out, st2)
 		}

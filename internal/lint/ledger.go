@@ -247,10 +247,9 @@ func (c *ledgerChecker) counterFamily(e ast.Expr) (int, bool) {
 
 // ------------------------------------------------------------- domain
 
-const ledgerMaskVal = 0 // the single abstract value: the family mask
-
+// ledgerDomain tracks one fact per path: the mask of families it has
+// incremented (pathState.mask).
 type ledgerDomain struct {
-	baseDomain
 	c        *ledgerChecker
 	entry    *ledgerEntry
 	fnName   string
@@ -260,7 +259,7 @@ type ledgerDomain struct {
 }
 
 func (d *ledgerDomain) hit(st *pathState, bit int, pos token.Pos) {
-	st.facts[ledgerMaskVal] |= 1 << bit
+	st.mask |= 1 << bit
 	if d.forbid && (uint64(1)<<bit)&ledgerCoreMask != 0 {
 		d.c.report(pos, "ledgerforbidden",
 			fmt.Sprintf("%s increments core ledger counter %s directly; released stages re-enter the ledger only through the sanctioned admission boundary", d.fnName, ledgerFamilies[bit]))
@@ -280,14 +279,14 @@ func (d *ledgerDomain) call(in []*pathState, call *ast.CallExpr, w *walker) []*p
 	// Metric mirror increments: s.met.Family.Inc().
 	if sel, ok := stripParens(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Inc" {
 		if bit, ok := d.c.counterFamily(sel.X); ok {
-			in = w.walkCallArgs(in, call, nil)
+			in = w.walkCallArgs(in, call)
 			for _, st := range in {
 				d.hit(st, bit, call.Pos())
 			}
 			return in
 		}
 	}
-	in = w.walkCallArgs(in, call, nil)
+	in = w.walkCallArgs(in, call)
 	fn := staticCalleeFunc(d.c.info, call)
 	if fn == nil {
 		return in
@@ -296,13 +295,13 @@ func (d *ledgerDomain) call(in []*pathState, call *ast.CallExpr, w *walker) []*p
 	if sum == nil {
 		return in // external / dynamic / recursive: touches no ledger
 	}
-	return w.forkSummary(in, call, sum, func(st *pathState, ex *sumExit) {
-		st.facts[ledgerMaskVal] |= ex.payload
+	return w.forkSummary(in, sum, func(st *pathState, ex *sumExit) {
+		st.mask |= ex.payload
 	})
 }
 
 func (d *ledgerDomain) exit(st *pathState, ret *ast.ReturnStmt, pos token.Pos) {
-	mask := st.facts[ledgerMaskVal]
+	mask := st.mask
 	d.sum.addExit(resolveResults(d.c.info, d.nresults, ret), mask)
 	if d.entry == nil {
 		return

@@ -1,11 +1,13 @@
-// Package lint is flepvet's analyzer suite: five checkers that
+// Package lint is flepvet's analyzer suite: seven checkers that
 // mechanically enforce the contracts the FLEP reproduction's tests can
 // only spot-check — the determinism contract (a recorded run replays
-// bit-for-bit), the single-threaded event-loop discipline, the
-// PR 2/PR 3 lock-ordering fix classes, and the obs metrics hygiene
-// rules. The suite runs standalone (`flepvet ./...`), under `go vet
-// -vettool`, and inside `go test` (see selftest_test.go), all through
-// the same driver so the three entry points cannot drift.
+// bit-for-bit), map-iteration order at serialization sinks, the
+// single-threaded event-loop discipline, lock discipline and a global
+// lock acquisition order, the obs metrics hygiene rules, and the
+// exactly-once admission ledger. The suite runs standalone (`flepvet
+// ./...`), under `go vet -vettool`, and inside `go test` (see
+// selftest_test.go), all through the same driver so the three entry
+// points cannot drift.
 package lint
 
 import (
@@ -25,7 +27,6 @@ func Analyzers() []*analysis.Analyzer {
 		LoopPurityAnalyzer,
 		LockDisciplineAnalyzer,
 		MetricHygieneAnalyzer,
-		PoolOwnershipAnalyzer,
 		LockOrderAnalyzer,
 		LedgerAnalyzer,
 	}

@@ -182,6 +182,16 @@ func canonicalLockID(info *types.Info, pkg *types.Package, x ast.Expr) string {
 	return ""
 }
 
+// namedKey renders a named type as "pkgpath.Name", or "" for unnamed
+// and universe types.
+func namedKey(t types.Type) string {
+	n, ok := t.(*types.Named)
+	if !ok || n.Obj().Pkg() == nil {
+		return ""
+	}
+	return n.Obj().Pkg().Path() + "." + n.Obj().Name()
+}
+
 // lockOpOf classifies a call as a mutex operation, returning the
 // canonical lock ID and the method name.
 func lockOpOf(info *types.Info, pkg *types.Package, call *ast.CallExpr) (string, string) {

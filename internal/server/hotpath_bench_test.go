@@ -25,9 +25,9 @@ func newBenchServer(b *testing.B) *Server {
 	return s
 }
 
-// BenchmarkLaunchRoundTrip is the per-launch allocation budget: pool
-// get, atomic admission gate, channel enqueue, batched loop admission,
-// simulated execution, terminal delivery, pool put. scripts/bench.sh
+// BenchmarkLaunchRoundTrip is the per-launch allocation budget: request
+// construction, atomic admission gate, channel enqueue, batched loop
+// admission, simulated execution, terminal delivery. scripts/bench.sh
 // records its allocs/op into BENCH_<pr>.json and CI fails a PR that more
 // than doubles it.
 func BenchmarkLaunchRoundTrip(b *testing.B) {
@@ -36,7 +36,7 @@ func BenchmarkLaunchRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q := getLaunchReq()
+		q := newLaunchReq()
 		q.client, q.bench, q.class = "bench", bench, kernels.Trivial
 		q.priority = 1
 		q.enqueuedReal = time.Now()
@@ -46,7 +46,6 @@ func BenchmarkLaunchRoundTrip(b *testing.B) {
 		if res := <-q.done; res.Err != "" {
 			b.Fatal(res.Err)
 		}
-		putLaunchReq(q)
 	}
 }
 
@@ -60,7 +59,7 @@ func BenchmarkLaunchRoundTripParallel(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			q := getLaunchReq()
+			q := newLaunchReq()
 			q.client, q.bench, q.class = "bench", bench, kernels.Trivial
 			q.priority = 1
 			q.enqueuedReal = time.Now()
@@ -70,7 +69,6 @@ func BenchmarkLaunchRoundTripParallel(b *testing.B) {
 			if res := <-q.done; res.Err != "" {
 				b.Fatal(res.Err)
 			}
-			putLaunchReq(q)
 		}
 	})
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,14 +20,89 @@ import (
 	"flep/internal/obs"
 )
 
-// mkLaunchReq builds a pooled request the way serveLaunch does, for
-// driving tryEnqueue directly from tests.
+// mkLaunchReq builds a request the way serveLaunch does, for driving
+// tryEnqueue directly from tests.
 func mkLaunchReq(s *Server, client string, deadline time.Duration) *launchReq {
-	q := getLaunchReq()
+	q := newLaunchReq()
 	q.client, q.bench, q.class = client, s.benches["VA"], kernels.Trivial
 	q.priority, q.deadline = 1, deadline
 	q.enqueuedReal = time.Now()
 	return q
+}
+
+// TestFirstLaunchFinishedBeforeHandlerAccounting is the regression test
+// for the first-launch session race: the loop can finish a client's
+// first launch before its handler takes s.mu to count it. complete()
+// and the submit-error arm used to skip the not-yet-created session, so
+// the outcome was lost from /v1/sessions for good (Launches > Completed
+// + SubmitErrors at rest). Waiting on q.done before countEnqueued forces
+// that order for both terminal arms.
+func TestFirstLaunchFinishedBeforeHandlerAccounting(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	ok := mkLaunchReq(s, "completes", 0)
+	bad := mkLaunchReq(s, "submit-error", 0)
+	bad.tasksOverride = 1 << 34 // working set beyond the K40's 12 GB
+	for _, q := range []*launchReq{ok, bad} {
+		if err := s.tryEnqueue(q); err != nil {
+			t.Fatal(err)
+		}
+		<-q.done
+		s.countEnqueued(q.client)
+	}
+
+	byID := map[string]SessionSnapshot{}
+	for _, snap := range s.SessionSnapshots() {
+		byID[snap.ID] = snap
+	}
+	if got := byID["completes"]; got.Launches != 1 || got.Completed != 1 || got.InFlight != 0 {
+		t.Errorf("completed first launch: %+v, want Launches=1 Completed=1 InFlight=0", got)
+	}
+	if got := byID["submit-error"]; got.Launches != 1 || got.SubmitErrors != 1 || got.InFlight != 0 {
+		t.Errorf("rejected-by-runtime first launch: %+v, want Launches=1 SubmitErrors=1 InFlight=0", got)
+	}
+}
+
+// TestWriteJSONReusesEncoderCleanly drives writeJSON through the pooled
+// encoder's three exits — an oversized buffer that is dropped, an
+// encode error (500), and the normal put — interleaved with small
+// bodies: every response must be exactly its own value's indented JSON,
+// with no bytes carried over from an earlier response.
+func TestWriteJSONReusesEncoderCleanly(t *testing.T) {
+	large := map[string]string{"blob": strings.Repeat("x", 2*jsonEncKeepBytes)}
+	small := LaunchResult{ID: 7, Client: "c", Kernel: "VA", Class: "trivial", Priority: 1}
+	unencodable := map[string]any{"f": func() {}}
+	_, encErr := json.Marshal(unencodable)
+	if encErr == nil {
+		t.Fatal("unencodable value encoded")
+	}
+	steps := []struct {
+		v    any
+		code int
+		want any
+	}{
+		{large, http.StatusOK, large},
+		{&small, http.StatusOK, &small},
+		{unencodable, http.StatusInternalServerError, apiError{"encode response: " + encErr.Error()}},
+		{&small, http.StatusOK, &small},
+	}
+	for i, st := range steps {
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, st.v)
+		want, err := json.MarshalIndent(st.want, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+		if rec.Code != st.code {
+			t.Errorf("step %d: code %d, want %d", i, rec.Code, st.code)
+		}
+		if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
+			t.Errorf("step %d: body %d bytes, want %d bytes\ngot:  %.200q\nwant: %.200q", i, len(got), len(want), got, want)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("step %d: Content-Type %q", i, ct)
+		}
+	}
 }
 
 // TestBestEffortShedGateIsAtomic is the regression test for the
@@ -62,7 +138,6 @@ func TestBestEffortShedGateIsAtomic(t *testing.T) {
 				accepted.Add(1)
 			case errors.Is(err, ErrBestEffortShed) || errors.Is(err, ErrQueueFull):
 				shed.Add(1)
-				putLaunchReq(q)
 			default:
 				t.Errorf("unexpected enqueue error: %v", err)
 			}

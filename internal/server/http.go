@@ -148,7 +148,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.WriteHeader(code)
 	_, _ = w.Write(e.buf.Bytes())
 	if e.buf.Cap() > jsonEncKeepBytes {
-		//flepvet:allow poolleak -- oversized buffer dropped on purpose so one giant dump cannot pin its backing array in the pool
 		return
 	}
 	jsonEncPool.Put(e)
@@ -236,7 +235,7 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 		return
 	}
 
-	q := getLaunchReq()
+	q := newLaunchReq()
 	q.client, q.bench, q.class = client, bench, class
 	q.priority, q.weight, q.tasksOverride = prio, req.Weight, req.TasksOverride
 	q.deadline = deadline
@@ -249,12 +248,10 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 		verdict, derr := s.depAdmit(q)
 		switch verdict {
 		case depRejectInvalid:
-			putLaunchReq(q)
 			s.countInvalid(client)
 			writeJSON(w, http.StatusBadRequest, apiError{derr.Error()})
 			return
 		case depRejectDraining:
-			putLaunchReq(q)
 			s.met.RejectedDraining.Inc()
 			s.mu.Lock()
 			s.c.RejectedDraining++
@@ -265,7 +262,6 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 			writeJSON(w, http.StatusServiceUnavailable, apiError{derr.Error()})
 			return
 		case depRejectFull:
-			putLaunchReq(q)
 			s.met.RejectedDepFull.Inc()
 			s.mu.Lock()
 			s.c.RejectedDepFull++
@@ -279,7 +275,6 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 		case depCancelStage:
 			// The stage is registered (and counted) as canceled; it never
 			// becomes queue work, so it stays outside the Enqueued ledger.
-			putLaunchReq(q)
 			s.met.DepCanceled.Inc()
 			s.mu.Lock()
 			s.c.DepCanceled++
@@ -309,11 +304,7 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 			s.rejectLaunch(w, q, client, err)
 			return
 		}
-		s.met.Enqueued.Inc()
-		s.mu.Lock()
-		s.c.Enqueued++
-		s.session(client).Launches++
-		s.mu.Unlock()
+		s.countEnqueued(client)
 	}
 
 	timeout := s.cfg.RequestTimeout
@@ -327,9 +318,6 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 	select {
 	case res := <-q.done:
 		s.met.RequestLatency.Observe(time.Since(q.enqueuedReal).Seconds())
-		// The terminal result arrived, so the loop is finished with q and
-		// this handler holds exclusive ownership again (res is a copy).
-		putLaunchReq(q)
 		if res.Canceled != "" {
 			writeJSON(w, http.StatusConflict, &res)
 			return
@@ -339,13 +327,9 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 			return
 		}
 		writeJSON(w, http.StatusOK, &res)
-	//flepvet:allow poolleak -- timeout abandons the wait on purpose; the loop still owns q (see comment below) so recycling here would be a use-after-free
 	case <-timer.C:
-		// q is deliberately NOT recycled on the timeout and cancel paths:
-		// the loop (or the dependency table) still owns it until the
-		// buffered terminal send lands, after which nothing references it
-		// and it is garbage collected. The invocation is NOT lost: the loop
-		// finishes and accounts it; only this handler stops waiting.
+		// The invocation is NOT lost: the loop finishes and accounts it;
+		// only this handler stops waiting.
 		s.met.TimedOut.Inc()
 		s.mu.Lock()
 		s.c.TimedOut++
@@ -353,7 +337,6 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 		s.mu.Unlock()
 		writeJSON(w, http.StatusGatewayTimeout,
 			apiError{"timed out waiting for completion; the invocation still runs to completion"})
-	//flepvet:allow poolleak -- client cancel abandons the wait; ownership of q stays with the loop, same as the timeout arm
 	case <-r.Context().Done():
 		// The launch was accepted, so the session exists; record the
 		// abandonment there too, or /v1/sessions cannot tell a canceled
@@ -367,14 +350,11 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 }
 
 // rejectLaunch accounts a tryEnqueue failure and answers the client.
-// For graph stages the failure also dooms the stage's descendants: the
-// cascade runs before q is recycled, because depStageFailed reads q's
-// graph coordinates.
+// For graph stages the failure also dooms the stage's descendants.
 func (s *Server) rejectLaunch(w http.ResponseWriter, q *launchReq, client string, err error) {
 	if q.graph != "" {
 		s.depStageFailed(q)
 	}
-	putLaunchReq(q) // the loop never saw it; safe to recycle now
 	s.mu.Lock()
 	// Record the reject on the client's session only if one already
 	// exists: a launch that never entered the queue must not
@@ -422,6 +402,18 @@ func (s *Server) countInvalid(client string) {
 	if sess := s.sessions[client]; sess != nil {
 		sess.RejectedInvalid++
 	}
+	s.mu.Unlock()
+}
+
+// countEnqueued accounts a launch tryEnqueue accepted. The loop may
+// already have finished it and materialized the session (complete and
+// the submit-error arm create it too), so Launches lands on the same
+// session its outcome did.
+func (s *Server) countEnqueued(client string) {
+	s.met.Enqueued.Inc()
+	s.mu.Lock()
+	s.c.Enqueued++
+	s.session(client).Launches++
 	s.mu.Unlock()
 }
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"sync"
 	"time"
 
 	"flep/internal/flepruntime"
@@ -42,31 +41,10 @@ type launchReq struct {
 	done chan LaunchResult
 }
 
-// launchReqPool recycles launchReq shells (and their buffered done
-// channels) across requests, so the steady-state admission path performs
-// zero allocations per launch. Ownership protocol: the handler owns the
-// request until tryEnqueue succeeds; afterwards only the goroutine that
-// proved the loop is finished with it — by receiving the terminal result
-// from done, or by having had tryEnqueue fail — may return it with
-// putLaunchReq. A handler that times out or is canceled must NOT return
-// it: the loop's buffered send still lands in done and the object is
-// simply garbage collected (leak-safe, never reuse-unsafe).
-var launchReqPool = sync.Pool{
-	New: func() any { return &launchReq{done: make(chan LaunchResult, 1)} },
-}
-
-// getLaunchReq returns a zeroed launchReq with its done channel ready.
-func getLaunchReq() *launchReq {
-	return launchReqPool.Get().(*launchReq)
-}
-
-// putLaunchReq resets and recycles q. Callers must hold exclusive
-// ownership per the protocol above, which also guarantees done is empty.
-func putLaunchReq(q *launchReq) {
-	done := q.done
-	*q = launchReq{}
-	q.done = done
-	launchReqPool.Put(q)
+// newLaunchReq returns an empty request whose done channel has the
+// capacity-1 buffer the loop's terminal send relies on.
+func newLaunchReq() *launchReq {
+	return &launchReq{done: make(chan LaunchResult, 1)}
 }
 
 // LaunchResult is the structured per-request outcome (§5.1's execution
@@ -413,9 +391,9 @@ func (s *Server) admit(q *launchReq) {
 		//flepvet:allow sharedlock -- bounded counter bump; handlers only copy under s.mu, never block
 		s.mu.Lock()
 		s.c.SubmitErrors++
-		if sess := s.sessions[q.client]; sess != nil {
-			sess.SubmitErrors++
-		}
+		// An accepted launch owns a session even if its handler has not
+		// accounted it yet (see countEnqueued).
+		s.session(q.client).SubmitErrors++
 		s.mu.Unlock()
 		if q.graph != "" {
 			// A failed stage dooms its descendants: cancel parked dependents
@@ -533,9 +511,9 @@ func (s *Server) complete(q *launchReq, fv *flepruntime.Invocation) {
 		s.c.SLOMissed++
 		s.sloMarginSum += margin
 	}
-	if sess := s.sessions[q.client]; sess != nil {
-		sess.noteCompletion(res)
-	}
+	// Created here if the handler has not accounted the launch yet, so the
+	// completion is never lost from /v1/sessions (see countEnqueued).
+	s.session(q.client).noteCompletion(res)
 	s.mu.Unlock()
 	if q.graph != "" {
 		// Fold the stage into its graph and collect newly-unblocked
