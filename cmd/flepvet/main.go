@@ -1,7 +1,7 @@
 // Command flepvet runs the FLEP analyzer suite (internal/lint): the
 // determinism, map-order, loop-purity, lock-discipline, and
-// metric-hygiene contracts plus the interprocedural lock-order and
-// exactly-once ledger analyzers — mechanically enforced.
+// metric-hygiene contracts plus the interprocedural lock-order
+// analyzer — mechanically enforced.
 //
 // Two modes share one driver:
 //

@@ -20,13 +20,13 @@ func mkFinding(file string, line int, analyzer, category, msg string) Finding {
 func TestBaselineFilterMatchesWithoutLineNumbers(t *testing.T) {
 	root := "/repo"
 	bl := &Baseline{Findings: []BaselineEntry{
-		{File: "internal/server/http.go", Analyzer: "ledger", Category: "ledgerdouble", Message: "boom"},
+		{File: "internal/server/http.go", Analyzer: "lockorder", Category: "lockcycle", Message: "boom"},
 	}}
 	// Same finding at two different lines: the entry covers one (line
 	// numbers are not part of the key), the other still fails.
 	findings := []Finding{
-		mkFinding("/repo/internal/server/http.go", 10, "ledger", "ledgerdouble", "boom"),
-		mkFinding("/repo/internal/server/http.go", 99, "ledger", "ledgerdouble", "boom"),
+		mkFinding("/repo/internal/server/http.go", 10, "lockorder", "lockcycle", "boom"),
+		mkFinding("/repo/internal/server/http.go", 99, "lockorder", "lockcycle", "boom"),
 	}
 	kept, suppressed := bl.Filter(root, findings)
 	if len(suppressed) != 1 || len(kept) != 1 {

@@ -219,7 +219,7 @@ func TestAllowAnnotations(t *testing.T) {
 	}
 }
 
-// ---------------------------------------------------- dataflow analyzers
+// ------------------------------------------------------------ lock order
 
 func TestLockOrderFixture(t *testing.T) {
 	checkFixture(t, "fixtures/lockorder", LockOrderAnalyzer)
@@ -229,8 +229,4 @@ func TestLockOrderFixture(t *testing.T) {
 // contract pair fires inside that package subtree and only there.
 func TestLockOrderContractFixture(t *testing.T) {
 	checkFixture(t, "flep/internal/server/fixturelockpair", LockOrderAnalyzer)
-}
-
-func TestLedgerFixture(t *testing.T) {
-	checkFixture(t, "flep/internal/server/fixtureledger", LedgerAnalyzer)
 }

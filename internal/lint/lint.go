@@ -1,10 +1,9 @@
-// Package lint is flepvet's analyzer suite: seven checkers that
+// Package lint is flepvet's analyzer suite: six checkers that
 // mechanically enforce the contracts the FLEP reproduction's tests can
 // only spot-check — the determinism contract (a recorded run replays
 // bit-for-bit), map-iteration order at serialization sinks, the
 // single-threaded event-loop discipline, lock discipline and a global
-// lock acquisition order, the obs metrics hygiene rules, and the
-// exactly-once admission ledger. The suite runs standalone (`flepvet
+// lock acquisition order, and the obs metrics hygiene rules. The suite runs standalone (`flepvet
 // ./...`), under `go vet -vettool`, and inside `go test` (see
 // selftest_test.go), all through the same driver so the three entry
 // points cannot drift.
@@ -28,7 +27,6 @@ func Analyzers() []*analysis.Analyzer {
 		LockDisciplineAnalyzer,
 		MetricHygieneAnalyzer,
 		LockOrderAnalyzer,
-		LedgerAnalyzer,
 	}
 }
 

@@ -192,6 +192,69 @@ func namedKey(t types.Type) string {
 	return n.Obj().Pkg().Path() + "." + n.Obj().Name()
 }
 
+// funcIDOf renders the stable key for a function object: "pkgpath.Func"
+// or "pkgpath.(Recv).Method". Finish joins facts from packages that were
+// typechecked independently (the vettool protocol, fixture siblings), so
+// object identity does not survive; the rendered ID does.
+func funcIDOf(fn *types.Func) string {
+	pkg := ""
+	if fn.Pkg() != nil {
+		pkg = fn.Pkg().Path()
+	}
+	sig, _ := fn.Type().(*types.Signature)
+	if sig != nil && sig.Recv() != nil {
+		t := sig.Recv().Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		name := "?"
+		if n, ok := t.(*types.Named); ok {
+			name = n.Obj().Name()
+		}
+		return pkg + ".(" + name + ")." + fn.Name()
+	}
+	return pkg + "." + fn.Name()
+}
+
+func stripParens(e ast.Expr) ast.Expr {
+	for {
+		p, ok := e.(*ast.ParenExpr)
+		if !ok {
+			return e
+		}
+		e = p.X
+	}
+}
+
+// staticCalleeFunc resolves a call expression to its target function
+// when the target is fixed at compile time: a package function, or a
+// method on a concrete named type. Interface methods, function values,
+// and builtins resolve to nil.
+func staticCalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := stripParens(call.Fun).(type) {
+	case *ast.Ident:
+		if fn, ok := info.Uses[fun].(*types.Func); ok {
+			return fn
+		}
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fun]; ok {
+			fn, ok := sel.Obj().(*types.Func)
+			if !ok {
+				return nil
+			}
+			if types.IsInterface(sel.Recv()) {
+				return nil // dynamic dispatch
+			}
+			return fn
+		}
+		// Qualified identifier: pkg.Func.
+		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
+			return fn
+		}
+	}
+	return nil
+}
+
 // lockOpOf classifies a call as a mutex operation, returning the
 // canonical lock ID and the method name.
 func lockOpOf(info *types.Info, pkg *types.Package, call *ast.CallExpr) (string, string) {

@@ -548,14 +548,7 @@ func (s *Server) depCloseIfDoneLocked(g *depGraph) {
 // ownership here.
 func (s *Server) deliverDepCancels(cancels []*launchReq, reason string) {
 	for _, cq := range cancels {
-		s.met.DepCanceled.Inc()
-		//flepvet:allow sharedlock -- bounded counter bump; handlers only copy under s.mu, never block
-		s.mu.Lock()
-		s.c.DepCanceled++
-		if sess := s.sessions[cq.client]; sess != nil {
-			sess.DepCanceled++
-		}
-		s.mu.Unlock()
+		s.account(cq.client, outDepCanceled)
 		//flepvet:allow blockingsend -- cq.done is per-request with capacity 1 (http.go) and sees exactly one send
 		cq.done <- LaunchResult{
 			Client: cq.client, Kernel: cq.bench.Name, Class: cq.class.String(),
@@ -616,15 +609,7 @@ func (s *Server) admitReleased() {
 	for i := 0; i < len(s.depReady); i++ {
 		q := s.depReady[i]
 		s.depReady[i] = nil
-		//flepvet:allow ledgerforbidden -- admitReleased IS the sanctioned re-entry boundary: a released stage was parked before reaching Enqueued, so this is its first and only Enqueued count
-		s.met.Enqueued.Inc()
-		//flepvet:allow sharedlock -- bounded counter bump; handlers only copy under s.mu, never block
-		s.mu.Lock()
-		//flepvet:allow ledgerforbidden -- mirrors the metrics-side count above; same single sanctioned re-entry
-		s.c.Enqueued++
-		s.session(q.client).Launches++
-		s.mu.Unlock()
-		s.queued.Add(1) // admit releases the reservation
+		s.account(q.client, outEnqueued)
 		if q.deadline > 0 {
 			s.lcOutstanding.Add(1)
 		}

@@ -421,7 +421,7 @@ func (f *Fleet) handleLaunch(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// A body that never parsed has no placement signal; account the
 		// reject on shard 0 so fleet sums still cover every outcome.
-		f.shards[0].countInvalid("")
+		f.shards[0].account("", outRejectedInvalid)
 		writeJSON(w, http.StatusBadRequest, apiError{"bad request body: " + err.Error()})
 		return
 	}

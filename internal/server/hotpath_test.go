@@ -31,12 +31,14 @@ func mkLaunchReq(s *Server, client string, deadline time.Duration) *launchReq {
 }
 
 // TestFirstLaunchFinishedBeforeHandlerAccounting is the regression test
-// for the first-launch session race: the loop can finish a client's
-// first launch before its handler takes s.mu to count it. complete()
-// and the submit-error arm used to skip the not-yet-created session, so
-// the outcome was lost from /v1/sessions for good (Launches > Completed
-// + SubmitErrors at rest). Waiting on q.done before countEnqueued forces
-// that order for both terminal arms.
+// for the enqueue-accounting window: the loop can finish a client's
+// first launch before its handler runs another line. Enqueued used to be
+// counted by the handler after tryEnqueue returned, so in that window
+// /v1/status reported completed > enqueued (exactly_once_ok false), Load
+// went negative, and — before complete() materialized sessions — the
+// outcome was lost from /v1/sessions. Waiting on q.done right after
+// tryEnqueue observes the daemon exactly where the handler would resume,
+// for both terminal arms.
 func TestFirstLaunchFinishedBeforeHandlerAccounting(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	ok := mkLaunchReq(s, "completes", 0)
@@ -47,7 +49,12 @@ func TestFirstLaunchFinishedBeforeHandlerAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 		<-q.done
-		s.countEnqueued(q.client)
+		if st := s.statusSnapshot(); !st.ExactlyOnceOK {
+			t.Errorf("%s: exactly_once_ok false with the launch finished: %+v", q.client, st.Counters)
+		}
+		if got := s.Load(); got != 0 {
+			t.Errorf("%s: Load() = %d with the launch finished, want 0", q.client, got)
+		}
 	}
 
 	byID := map[string]SessionSnapshot{}

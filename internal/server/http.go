@@ -190,7 +190,7 @@ func decodeLaunch(w http.ResponseWriter, r *http.Request) (LaunchRequest, string
 func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 	req, client, err := decodeLaunch(w, r)
 	if err != nil {
-		s.countInvalid("")
+		s.account("", outRejectedInvalid)
 		writeJSON(w, http.StatusBadRequest, apiError{"bad request body: " + err.Error()})
 		return
 	}
@@ -204,13 +204,13 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchRequest, client string) {
 	bench, ok := s.benches[req.Benchmark]
 	if !ok {
-		s.countInvalid(client)
+		s.account(client, outRejectedInvalid)
 		writeJSON(w, http.StatusBadRequest, apiError{"unknown or unloaded benchmark " + strconv.Quote(req.Benchmark)})
 		return
 	}
 	class, err := parseClass(req.Class)
 	if err != nil {
-		s.countInvalid(client)
+		s.account(client, outRejectedInvalid)
 		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
 		return
 	}
@@ -219,18 +219,18 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 		prio = 1
 	}
 	if prio < 0 || req.TasksOverride < 0 || req.Weight < 0 {
-		s.countInvalid(client)
+		s.account(client, outRejectedInvalid)
 		writeJSON(w, http.StatusBadRequest, apiError{"priority, weight and tasks_override must be non-negative"})
 		return
 	}
 	deadline, err := parseSLO(req.SLOClass, req.DeadlineMS)
 	if err != nil {
-		s.countInvalid(client)
+		s.account(client, outRejectedInvalid)
 		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
 		return
 	}
 	if err := validateDepSpec(&req); err != nil {
-		s.countInvalid(client)
+		s.account(client, outRejectedInvalid)
 		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
 		return
 	}
@@ -248,40 +248,22 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 		verdict, derr := s.depAdmit(q)
 		switch verdict {
 		case depRejectInvalid:
-			s.countInvalid(client)
+			s.account(client, outRejectedInvalid)
 			writeJSON(w, http.StatusBadRequest, apiError{derr.Error()})
 			return
 		case depRejectDraining:
-			s.met.RejectedDraining.Inc()
-			s.mu.Lock()
-			s.c.RejectedDraining++
-			if sess := s.sessions[client]; sess != nil {
-				sess.RejectedDraining++
-			}
-			s.mu.Unlock()
+			s.account(client, outRejectedDraining)
 			writeJSON(w, http.StatusServiceUnavailable, apiError{derr.Error()})
 			return
 		case depRejectFull:
-			s.met.RejectedDepFull.Inc()
-			s.mu.Lock()
-			s.c.RejectedDepFull++
-			if sess := s.sessions[client]; sess != nil {
-				sess.RejectedDepFull++
-			}
-			s.mu.Unlock()
+			s.account(client, outRejectedDepFull)
 			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
 			writeJSON(w, http.StatusTooManyRequests, apiError{derr.Error()})
 			return
 		case depCancelStage:
 			// The stage is registered (and counted) as canceled; it never
 			// becomes queue work, so it stays outside the Enqueued ledger.
-			s.met.DepCanceled.Inc()
-			s.mu.Lock()
-			s.c.DepCanceled++
-			if sess := s.sessions[client]; sess != nil {
-				sess.DepCanceled++
-			}
-			s.mu.Unlock()
+			s.account(client, outDepCanceled)
 			writeJSON(w, http.StatusConflict, apiError{derr.Error()})
 			return
 		case depParkStage:
@@ -304,7 +286,6 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 			s.rejectLaunch(w, q, client, err)
 			return
 		}
-		s.countEnqueued(client)
 	}
 
 	timeout := s.cfg.RequestTimeout
@@ -330,22 +311,14 @@ func (s *Server) serveLaunch(w http.ResponseWriter, r *http.Request, req LaunchR
 	case <-timer.C:
 		// The invocation is NOT lost: the loop finishes and accounts it;
 		// only this handler stops waiting.
-		s.met.TimedOut.Inc()
-		s.mu.Lock()
-		s.c.TimedOut++
-		s.session(client).TimedOut++
-		s.mu.Unlock()
+		s.account(client, outTimedOut)
 		writeJSON(w, http.StatusGatewayTimeout,
 			apiError{"timed out waiting for completion; the invocation still runs to completion"})
 	case <-r.Context().Done():
 		// The launch was accepted, so the session exists; record the
 		// abandonment there too, or /v1/sessions cannot tell a canceled
 		// waiter from a live one.
-		s.met.Canceled.Inc()
-		s.mu.Lock()
-		s.c.Canceled++
-		s.session(client).Canceled++
-		s.mu.Unlock()
+		s.account(client, outCanceled)
 	}
 }
 
@@ -355,66 +328,18 @@ func (s *Server) rejectLaunch(w http.ResponseWriter, q *launchReq, client string
 	if q.graph != "" {
 		s.depStageFailed(q)
 	}
-	s.mu.Lock()
-	// Record the reject on the client's session only if one already
-	// exists: a launch that never entered the queue must not
-	// materialize per-client state (it would be an unbounded-memory
-	// vector, and the draining path used to create sessions it then
-	// never even recorded the rejection on).
-	sess := s.sessions[client]
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		s.c.RejectedFull++
-		if sess != nil {
-			sess.RejectedFull++
-		}
-		s.met.RejectedFull.Inc()
+		s.account(client, outRejectedFull)
 	case errors.Is(err, ErrBestEffortShed):
-		s.c.RejectedShed++
-		if sess != nil {
-			sess.RejectedShed++
-		}
-		s.met.RejectedShed.Inc()
+		s.account(client, outRejectedShed)
 	default:
-		s.c.RejectedDraining++
-		if sess != nil {
-			sess.RejectedDraining++
-		}
-		s.met.RejectedDraining.Inc()
-	}
-	s.mu.Unlock()
-	if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrBestEffortShed) {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-		writeJSON(w, http.StatusTooManyRequests, apiError{err.Error()})
-	} else {
+		s.account(client, outRejectedDraining)
 		writeJSON(w, http.StatusServiceUnavailable, apiError{err.Error()})
+		return
 	}
-}
-
-// countInvalid accounts a validation reject. It deliberately does NOT
-// materialize a session: invalid requests carry attacker-controlled
-// client names, and creating state per garbage name is an
-// unbounded-memory vector.
-func (s *Server) countInvalid(client string) {
-	s.met.RejectedInvalid.Inc()
-	s.mu.Lock()
-	s.c.RejectedInvalid++
-	if sess := s.sessions[client]; sess != nil {
-		sess.RejectedInvalid++
-	}
-	s.mu.Unlock()
-}
-
-// countEnqueued accounts a launch tryEnqueue accepted. The loop may
-// already have finished it and materialized the session (complete and
-// the submit-error arm create it too), so Launches lands on the same
-// session its outcome did.
-func (s *Server) countEnqueued(client string) {
-	s.met.Enqueued.Inc()
-	s.mu.Lock()
-	s.c.Enqueued++
-	s.session(client).Launches++
-	s.mu.Unlock()
+	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
+	writeJSON(w, http.StatusTooManyRequests, apiError{err.Error()})
 }
 
 // parseSLO resolves the request's SLO class and deadline into the

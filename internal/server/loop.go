@@ -118,51 +118,55 @@ func (s *Server) ctrl(kind ctrlKind) error {
 }
 
 // tryEnqueue admits a launch into the bounded queue without blocking.
-// The RLock pairs with Shutdown's Lock: once draining is set, no new
-// send can be in flight, so the loop's final queue length is stable.
+// The slot reservation is the admission decision: reserve bounds queued
+// at the channel's capacity, so once it succeeds the launch is counted
+// enqueued — before the send, hence before the loop can finish it — and
+// the send cannot block.
+func (s *Server) tryEnqueue(q *launchReq) error {
+	if err := s.reserve(q); err != nil {
+		return err
+	}
+	s.account(q.client, outEnqueued)
+	s.submitCh <- q
+	return nil
+}
+
+// reserve CASes a slot reservation into s.queued, or reports why the
+// launch is not admitted. The RLock pairs with Shutdown's Lock: once
+// draining is set no new reservation can be made, so the loop's drain
+// exit can wait for queued to reach zero.
 //
 // SLO-aware shedding: while deadline-bearing work is outstanding,
 // best-effort launches stop being admitted once the queue crowds past
 // the cost-aware best-effort share (beLimit), so deadline work always
 // finds queue headroom before latency-critical launches start missing.
-// With no deadlines in play the full queue belongs to best-effort work
-// and admission behaves exactly as before.
-//
-// The shed decision is atomic with admission: a best-effort launch must
-// CAS a slot reservation into s.queued under the beLimit before it may
-// send, so N racing best-effort handlers cannot all read a stale queue
-// length and collectively overshoot the cost-aware share. The loop
-// releases the reservation when it pops the launch (admit); a failed
-// channel send releases it immediately.
-func (s *Server) tryEnqueue(q *launchReq) error {
+// With no deadlines in play the full queue belongs to best-effort work.
+// The shed check sits in the same CAS loop as the capacity check, so N
+// racing best-effort handlers cannot all read a stale occupancy and
+// collectively overshoot the share. The loop releases the reservation
+// when it pops the launch from the channel.
+func (s *Server) reserve(q *launchReq) error {
 	s.acceptMu.RLock()
 	defer s.acceptMu.RUnlock()
 	if s.draining {
 		return ErrDraining
 	}
-	if q.deadline == 0 {
-		for {
-			n := s.queued.Load()
-			if s.lcOutstanding.Load() > 0 && n >= int64(s.beLimit) {
-				return ErrBestEffortShed
-			}
-			if s.queued.CompareAndSwap(n, n+1) {
-				break
-			}
+	for {
+		n := s.queued.Load()
+		if q.deadline == 0 && s.lcOutstanding.Load() > 0 && n >= int64(s.beLimit) {
+			return ErrBestEffortShed
 		}
-	} else {
-		s.queued.Add(1)
-	}
-	select {
-	case s.submitCh <- q:
-		if q.deadline > 0 {
-			s.lcOutstanding.Add(1)
+		if n >= int64(cap(s.submitCh)) {
+			return ErrQueueFull
 		}
-		return nil
-	default:
-		s.queued.Add(-1)
-		return ErrQueueFull
+		if s.queued.CompareAndSwap(n, n+1) {
+			break
+		}
 	}
+	if q.deadline > 0 {
+		s.lcOutstanding.Add(1)
+	}
+	return nil
 }
 
 // loop is the daemon's scheduling thread. It is the only goroutine that
@@ -204,6 +208,7 @@ func (s *Server) loop() {
 		for {
 			select {
 			case q := <-s.submitCh:
+				s.queued.Add(-1)
 				s.batch = append(s.batch, q)
 			case m := <-s.ctrlCh:
 				paused = s.handleCtrl(m, paused, draining)
@@ -244,8 +249,10 @@ func (s *Server) loop() {
 			continue
 		}
 
-		// Simulator idle: nothing left to run.
-		if draining && len(s.submitCh) == 0 && len(s.depReady) == 0 {
+		// Simulator idle: nothing left to run. Draining forbids new
+		// reservations, so queued == 0 means no launch is in the channel or
+		// still on its way into it.
+		if draining && s.queued.Load() == 0 && len(s.depReady) == 0 {
 			// Parked graph stages can never be released now — the engine is
 			// idle, the queue is empty, and admission is closed — so cancel
 			// them deterministically instead of leaving handlers to time out.
@@ -254,6 +261,7 @@ func (s *Server) loop() {
 		}
 		select {
 		case q := <-s.submitCh:
+			s.queued.Add(-1)
 			s.admit(q)
 		case m := <-s.ctrlCh:
 			paused = s.handleCtrl(m, paused, draining)
@@ -281,6 +289,7 @@ func (s *Server) sleepAbsorb(d time.Duration, paused, draining *bool, stop *<-ch
 		case <-timer.C:
 			return 0
 		case q := <-s.submitCh:
+			s.queued.Add(-1)
 			s.admit(q)
 		case m := <-s.ctrlCh:
 			*paused = s.handleCtrl(m, *paused, *draining)
@@ -336,7 +345,6 @@ func (s *Server) admitAll() {
 // admit stamps the request onto the virtual clock and submits it to the
 // runtime. Runs on the loop goroutine.
 func (s *Server) admit(q *launchReq) {
-	s.queued.Add(-1)
 	if q.admitReal.IsZero() {
 		q.admitReal = time.Now()
 	}
@@ -387,14 +395,7 @@ func (s *Server) admit(q *launchReq) {
 		if q.deadline > 0 {
 			s.lcOutstanding.Add(-1)
 		}
-		s.met.SubmitErrors.Inc()
-		//flepvet:allow sharedlock -- bounded counter bump; handlers only copy under s.mu, never block
-		s.mu.Lock()
-		s.c.SubmitErrors++
-		// An accepted launch owns a session even if its handler has not
-		// accounted it yet (see countEnqueued).
-		s.session(q.client).SubmitErrors++
-		s.mu.Unlock()
+		s.account(q.client, outSubmitError)
 		if q.graph != "" {
 			// A failed stage dooms its descendants: cancel parked dependents
 			// now so the graph's outcome is decided deterministically.
@@ -499,10 +500,9 @@ func (s *Server) complete(q *launchReq, fv *flepruntime.Invocation) {
 			s.svcEWMANS.Store(old + (delta-old)/4)
 		}
 	}
-	s.met.Completed.Inc()
+	s.account(q.client, outCompleted)
 	//flepvet:allow sharedlock -- bounded counter bump; handlers only copy under s.mu, never block
 	s.mu.Lock()
-	s.c.Completed++
 	switch res.SLO {
 	case "attained":
 		s.c.SLOAttained++
@@ -511,8 +511,6 @@ func (s *Server) complete(q *launchReq, fv *flepruntime.Invocation) {
 		s.c.SLOMissed++
 		s.sloMarginSum += margin
 	}
-	// Created here if the handler has not accounted the launch yet, so the
-	// completion is never lost from /v1/sessions (see countEnqueued).
 	s.session(q.client).noteCompletion(res)
 	s.mu.Unlock()
 	if q.graph != "" {

@@ -10,26 +10,14 @@ import (
 // struct) onto the observability registry, plus the real-time latency
 // distributions that the JSON counters cannot express. The counters
 // struct under Server.mu stays the source of truth for /v1/status and
-// the exactly-once invariant; these instruments are incremented at the
-// same sites, so `flep_server_launches_total{outcome=...}` reconciles
-// exactly with /v1/status at rest.
+// the exactly-once invariant; the launch-outcome series are incremented
+// only by account, under the same lock, so
+// `flep_server_launches_total{outcome=...}` reconciles exactly with
+// /v1/status at rest.
 type serverMetrics struct {
-	// Launch outcomes, labeled so one family tells the whole admission
-	// story: enqueued (accepted into the queue), completed, submit_error
-	// (runtime rejection), rejected_queue_full, rejected_draining,
-	// rejected_invalid, timed_out (handler gave up; invocation ran on),
-	// canceled (client went away).
-	Enqueued         *obs.Counter
-	Completed        *obs.Counter
-	SubmitErrors     *obs.Counter
-	RejectedFull     *obs.Counter
-	RejectedDraining *obs.Counter
-	RejectedInvalid  *obs.Counter
-	RejectedShed     *obs.Counter
-	TimedOut         *obs.Counter
-	Canceled         *obs.Counter
-	DepCanceled      *obs.Counter
-	RejectedDepFull  *obs.Counter
+	// Launches holds one flep_server_launches_total series per outcome
+	// family, indexed by outcome (labels from the outcomes table).
+	Launches [numOutcomes]*obs.Counter
 
 	// SLO tier: attained/missed partition deadline-bearing completions;
 	// the margin histogram records (deadline − completion) in virtual
@@ -79,22 +67,7 @@ type serverMetrics struct {
 // newServerMetrics registers the server metric families and the
 // scrape-time gauges that read live daemon state.
 func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
-	launch := func(outcome string) *obs.Counter {
-		return reg.Counter("flep_server_launches_total",
-			"Launch requests by terminal outcome", "outcome", outcome) //flepvet:allow metriclabel -- outcome is one of the five compile-time literals below; cardinality is fixed
-	}
 	m := &serverMetrics{
-		Enqueued:         launch("enqueued"),
-		Completed:        launch("completed"),
-		SubmitErrors:     launch("submit_error"),
-		RejectedFull:     launch("rejected_queue_full"),
-		RejectedDraining: launch("rejected_draining"),
-		RejectedInvalid:  launch("rejected_invalid"),
-		RejectedShed:     launch("rejected_best_effort_shed"),
-		TimedOut:         launch("timed_out"),
-		Canceled:         launch("canceled"),
-		DepCanceled:      launch("dep_canceled"),
-		RejectedDepFull:  launch("rejected_dep_table_full"),
 		SLOAttained: reg.Counter("flep_slo_attained_total",
 			"Deadline-bearing launches that finished at or before their virtual-time deadline"),
 		SLOMissed: reg.Counter("flep_slo_missed_total",
@@ -114,6 +87,10 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		NTT: reg.Histogram("flep_server_ntt",
 			"Solo-normalized turnaround per completed invocation (sum/count = ANTT)",
 			[]float64{1, 1.5, 2, 3, 5, 8, 13, 21, 34, 55, 100}),
+	}
+	for o := range m.Launches {
+		m.Launches[o] = reg.Counter("flep_server_launches_total",
+			"Launch requests by terminal outcome", "outcome", outcomes[o].label) //flepvet:allow metriclabel -- outcome is a label from the fixed outcomes table (account.go); cardinality is fixed
 	}
 	graphs := func(outcome string) *obs.Counter {
 		return reg.Counter("flep_model_graphs_total",

@@ -146,7 +146,8 @@ var (
 // counters aggregates the daemon's request accounting. The exactly-once
 // invariant is Enqueued == Completed + SubmitErrors once drained: every
 // accepted launch reaches the runtime exactly once and produces exactly
-// one terminal event.
+// one terminal event. The launch-outcome fields are incremented only by
+// account (see the outcomes table).
 type counters struct {
 	Enqueued         int64 `json:"enqueued"`
 	Completed        int64 `json:"completed"`
@@ -220,10 +221,11 @@ type Server struct {
 
 	// queued counts launches reserved or resident in submitCh that the
 	// loop has not yet popped. tryEnqueue reserves a slot (CAS under the
-	// best-effort share) BEFORE the channel send and admit releases it,
-	// so the shed decision and the enqueue are one atomic step — N
-	// concurrent best-effort handlers cannot all pass a stale length
-	// check and overshoot beLimit.
+	// queue capacity and the best-effort share) BEFORE the channel send
+	// and the loop releases it on the pop, so admission is decided by the
+	// reservation alone: N concurrent best-effort handlers cannot all
+	// pass a stale length check and overshoot beLimit, and the send that
+	// follows a reservation never finds the channel full.
 	queued atomic.Int64
 
 	// batch is the loop-owned scratch slice absorb passes drain submitCh
@@ -569,25 +571,18 @@ func (s *Server) Pause() error { return s.ctrl(ctrlPause) }
 // Resume unparks a paused event loop.
 func (s *Server) Resume() error { return s.ctrl(ctrlResume) }
 
-// Counters returns a snapshot of the request accounting.
+// Counters returns a snapshot of the request accounting: every
+// launch-outcome family by its /v1/status key, plus the SLO split.
 func (s *Server) Counters() map[string]int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return map[string]int64{
-		"enqueued":                  s.c.Enqueued,
-		"completed":                 s.c.Completed,
-		"submit_errors":             s.c.SubmitErrors,
-		"rejected_queue_full":       s.c.RejectedFull,
-		"rejected_draining":         s.c.RejectedDraining,
-		"rejected_invalid":          s.c.RejectedInvalid,
-		"rejected_best_effort_shed": s.c.RejectedShed,
-		"timed_out":                 s.c.TimedOut,
-		"canceled":                  s.c.Canceled,
-		"slo_attained":              s.c.SLOAttained,
-		"slo_missed":                s.c.SLOMissed,
-		"dep_canceled":              s.c.DepCanceled,
-		"rejected_dep_table_full":   s.c.RejectedDepFull,
+	out := make(map[string]int64, len(outcomes)+2)
+	for o := range outcomes {
+		out[outcomes[o].key] = *s.c.field(outcome(o))
 	}
+	out["slo_attained"] = s.c.SLOAttained
+	out["slo_missed"] = s.c.SLOMissed
+	return out
 }
 
 // BenchmarkInfo describes one loaded benchmark for /v1/benchmarks.
