@@ -43,11 +43,26 @@ func (c *Config) applyDefaults() {
 		c.ProbeTimeout = 2 * time.Second
 	}
 	if c.Client == nil {
-		c.Client = &http.Client{}
+		c.Client = defaultClient()
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
+}
+
+// idleConnsPerNode is how many idle connections the default client keeps
+// to each node: flepd's default admission queue depth, the most launches
+// one node holds at once. Go's default of 2 made the gateway dial a fresh
+// node connection for most concurrently proxied launches.
+const idleConnsPerNode = 256
+
+// defaultClient is Config.Client's default: Go's default transport with
+// idle-connection reuse sized for concurrent proxied launches.
+func defaultClient() *http.Client {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = 0 // no total cap; idleConnsPerNode bounds each node
+	t.MaxIdleConnsPerHost = idleConnsPerNode
+	return &http.Client{Transport: t}
 }
 
 // normalizeAddr turns a -nodes entry into a base URL.

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -148,10 +150,72 @@ func getNodes(t *testing.T, gwURL string) []NodeStatus {
 	return ns
 }
 
+// Waves of concurrent launches through the gateway's default client reuse
+// its node connections. Go's default transport keeps only 2 idle
+// connections per host, so each wave would dial most of its width anew.
+func TestDefaultClientReusesNodeConnections(t *testing.T) {
+	f, err := server.NewFleetWithSystem(testSystem(t), server.FleetConfig{
+		Config:  server.Config{Benchmarks: []string{"VA"}, Pace: 100 * time.Microsecond},
+		Devices: 1,
+	})
+	if err != nil {
+		t.Fatalf("NewFleetWithSystem: %v", err)
+	}
+	var dials atomic.Int64
+	ts := httptest.NewUnstartedServer(f.Handler())
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := f.Shutdown(ctx); err != nil {
+			t.Errorf("fleet shutdown: %v", err)
+		}
+	})
+	_, gw := startGateway(t, Config{Nodes: []string{ts.URL}})
+
+	const width, waves = 16, 5
+	for w := 0; w < waves; w++ {
+		var wg sync.WaitGroup
+		for i := 0; i < width; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				body, _ := json.Marshal(server.LaunchRequest{Client: fmt.Sprintf("c%d", i), Benchmark: "VA"})
+				resp, err := http.Post(gw.URL+"/v1/launch", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("launch: %v", err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("launch: code %d", resp.StatusCode)
+				}
+			}(i)
+		}
+		wg.Wait()
+	}
+	// A reusing client dials about one wave's width, plus the health
+	// loop's probes and the odd connection not yet back in the pool when
+	// the next wave starts. A 2-idle pool dials width-2 more per later
+	// wave: 16 + 4*14 = 72 here.
+	if got, limit := dials.Load(), int64(3*width); got > limit {
+		t.Fatalf("node accepted %d connections for %d waves of %d launches, want <= %d", got, waves, width, limit)
+	}
+}
+
 func TestLaunchRoutingAffinityAndSpread(t *testing.T) {
 	_, n0, _ := startNode(t, server.Config{})
 	_, n1, _ := startNode(t, server.Config{})
-	_, gw := startGateway(t, Config{Nodes: []string{n0.URL, n1.URL}})
+	g, gw := startGateway(t, Config{Nodes: []string{n0.URL, n1.URL}})
+	// startGateway returns once one node is ready; until the second is,
+	// the ring walk skips it and a client's home looks like it moved.
+	waitFor(t, "both nodes ready", func() bool { return g.ReadyNodes() == 2 })
 
 	// A named client's launches all land on one node (consistent hash).
 	var home string
@@ -317,18 +381,27 @@ func TestNodeKilledMidBurstExactlyOnce(t *testing.T) {
 		}
 	}
 
-	// Let the survivor finish any retried work, then reconcile.
-	waitFor(t, "survivor at rest", func() bool {
+	// Wait until the health loop has seen node 0 die and the survivor has
+	// finished any retried work, then reconcile. The survivor's counters
+	// are read from the node itself: the gateway's cached /v1/status copy
+	// lags by up to a health interval, so it can predate the last retries
+	// (and node 0's cached copy can look "at rest" before it is marked
+	// down).
+	var live server.Status
+	waitFor(t, "node 0 down and the survivor at rest", func() bool {
+		if g.ReadyNodes() != 1 {
+			return false
+		}
 		for _, ns := range getNodes(t, gw.URL) {
-			if ns.State != "ready" || ns.Status == nil {
-				continue
-			}
-			c := ns.Status.Counters
-			if ns.InFlight == 0 && c.Enqueued == c.Completed+c.SubmitErrors {
-				return true
+			if ns.InFlight != 0 {
+				return false
 			}
 		}
-		return false
+		if err := getJSON(http.DefaultClient, n1.URL+"/v1/status", &live); err != nil {
+			return false
+		}
+		c := live.Counters
+		return c.Enqueued == c.Completed+c.SubmitErrors
 	})
 	var acceptedTotal int64
 	survivors := 0
@@ -338,9 +411,11 @@ func TestNodeKilledMidBurstExactlyOnce(t *testing.T) {
 			continue
 		}
 		survivors++
-		c := ns.Status.Counters
-		if got := ns.Accepted + ns.Failed + ns.TimedOut; got != c.Enqueued {
-			t.Fatalf("survivor %s: gateway ledger %d != enqueued %d", ns.ID, got, c.Enqueued)
+		if ns.ID != "n1" {
+			t.Fatalf("survivor is %s, want n1", ns.ID)
+		}
+		if got := ns.Accepted + ns.Failed + ns.TimedOut; got != live.Counters.Enqueued {
+			t.Fatalf("survivor %s: gateway ledger %d != enqueued %d", ns.ID, got, live.Counters.Enqueued)
 		}
 	}
 	if survivors != 1 {

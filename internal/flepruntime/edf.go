@@ -1,7 +1,6 @@
 package flepruntime
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -171,8 +170,7 @@ func (e *EDF) onRisk(seq int) {
 	}
 	e.riskTimer = nil
 	if head := e.firstDeadline(); head != nil {
-		e.rt.log("edf-risk", head.Kernel,
-			fmt.Sprintf("id=%d deadline=%v at risk", head.ID, head.Deadline))
+		e.rt.logf("edf-risk", head.Kernel, "id=%d deadline=%v at risk", head.ID, head.Deadline)
 	}
 	e.rt.schedule()
 }

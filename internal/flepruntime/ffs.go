@@ -1,7 +1,6 @@
 package flepruntime
 
 import (
-	"fmt"
 	"time"
 
 	"flep/internal/sim"
@@ -204,7 +203,7 @@ func (f *FFS) onEpochEnd(r *Runtime, seq int) {
 		return
 	}
 	f.curKernel = ""
-	r.log("epoch", owner, fmt.Sprintf("expired at %v", r.Device().Now()))
+	r.logf("epoch", owner, "expired at %v", r.Device().Now())
 	r.PreemptRunning()
 }
 

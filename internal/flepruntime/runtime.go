@@ -111,9 +111,13 @@ func (r *Runtime) Device() *gpu.Device { return r.dev }
 // Running returns the primary running invocation, or nil.
 func (r *Runtime) Running() *Invocation { return r.running }
 
-func (r *Runtime) log(kind, kernel, detail string) {
+// logf records a runtime trace entry, formatting the detail only when a
+// log is attached. The per-launch call sites (submit, dispatch, complete)
+// also check r.cfg.Log first: boxing their arguments into ...any would
+// otherwise cost heap allocations on every untraced launch.
+func (r *Runtime) logf(kind, kernel, format string, args ...any) {
 	if r.cfg.Log != nil {
-		r.cfg.Log.Runtime(r.dev.Now(), kind, kernel, detail)
+		r.cfg.Log.Runtime(r.dev.Now(), kind, kernel, fmt.Sprintf(format, args...))
 	}
 }
 
@@ -142,7 +146,9 @@ func (r *Runtime) Submit(v *Invocation) error {
 		r.met.DependentSubmits.Inc()
 	}
 	r.setQueueGauges()
-	r.log("submit", v.Kernel, fmt.Sprintf("id=%d prio=%d Te=%v", v.ID, v.Priority, v.Te))
+	if r.cfg.Log != nil {
+		r.logf("submit", v.Kernel, "id=%d prio=%d Te=%v", v.ID, v.Priority, v.Te)
+	}
 	r.schedule()
 	return nil
 }
@@ -252,7 +258,7 @@ func (r *Runtime) PreemptRunning() {
 	r.draining = true
 	victim.preemptAt = r.dev.Now()
 	victim.preemptPredicted = r.OverheadFor(victim)
-	r.log("preempt", victim.Kernel, "epoch expired")
+	r.logf("preempt", victim.Kernel, "epoch expired")
 	if err := victim.exec.Preempt(r.dev.NumSMs()); err != nil {
 		r.draining = false
 		r.met.PreemptAborts.Inc()
@@ -282,7 +288,7 @@ func (r *Runtime) preemptFor(best *Invocation) {
 	}
 	victim.preemptAt = r.dev.Now()
 	victim.preemptPredicted = r.OverheadFor(victim)
-	r.log("preempt", victim.Kernel, fmt.Sprintf("for=%s sms=%d spatial=%v", best.Kernel, need, spatial))
+	r.logf("preempt", victim.Kernel, "for=%s sms=%d spatial=%v", best.Kernel, need, spatial)
 	if err := victim.exec.Preempt(need); err != nil {
 		// The victim raced to completion; its completion callback will
 		// reschedule.
@@ -334,7 +340,9 @@ func (r *Runtime) dispatch(v *Invocation, smLo, smHi int, asGuest bool) {
 		r.met.Dispatches.Inc()
 	}
 	r.setQueueGauges()
-	r.log("dispatch", v.Kernel, fmt.Sprintf("id=%d sms=[%d,%d) guest=%v", v.ID, smLo, smHi, asGuest))
+	if r.cfg.Log != nil {
+		r.logf("dispatch", v.Kernel, "id=%d sms=[%d,%d) guest=%v", v.ID, smLo, smHi, asGuest)
+	}
 	r.cfg.Policy.OnDispatch(r, v)
 }
 
@@ -356,7 +364,9 @@ func (r *Runtime) onComplete(v *Invocation) {
 	if r.running == v {
 		r.running = nil
 	}
-	r.log("complete", v.Kernel, fmt.Sprintf("id=%d turnaround=%v Tw=%v", v.ID, v.Turnaround(), v.Tw))
+	if r.cfg.Log != nil {
+		r.logf("complete", v.Kernel, "id=%d turnaround=%v Tw=%v", v.ID, v.Turnaround(), v.Tw)
+	}
 	if wasGuest && !r.draining && r.running != nil && r.running.exec != nil {
 		// Reclaim the guest's SMs for the shrunk victim. Skipped while the
 		// primary itself is draining: a temporal drain tears the execution
@@ -365,7 +375,7 @@ func (r *Runtime) onComplete(v *Invocation) {
 		lo, _ := r.running.exec.SMRange()
 		if lo > 0 {
 			if err := r.running.exec.Expand(0); err == nil {
-				r.log("expand", r.running.Kernel, "reclaimed guest SMs")
+				r.logf("expand", r.running.Kernel, "reclaimed guest SMs")
 			}
 		}
 	}
@@ -412,7 +422,7 @@ func (r *Runtime) onDrained(v *Invocation, remaining int) {
 		r.pendingGuest = nil
 		r.met.SpatialPreempts.Inc()
 		lo, _ := v.exec.SMRange()
-		r.log("drained", v.Kernel, fmt.Sprintf("spatial remaining=%d freed=[0,%d)", remaining, lo))
+		r.logf("drained", v.Kernel, "spatial remaining=%d freed=[0,%d)", remaining, lo)
 		r.dispatch(g, 0, lo, true)
 		return
 	}
@@ -423,7 +433,7 @@ func (r *Runtime) onDrained(v *Invocation, remaining int) {
 	if r.running == v {
 		r.running = nil
 	}
-	r.log("drained", v.Kernel, fmt.Sprintf("temporal remaining=%d", remaining))
+	r.logf("drained", v.Kernel, "temporal remaining=%d", remaining)
 	r.cfg.Policy.Enqueue(v)
 	r.setQueueGauges()
 	r.schedule()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -455,7 +456,7 @@ func (f *Fleet) handleTrace(w http.ResponseWriter, r *http.Request) {
 	case "text":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		for _, e := range entries {
-			if _, err := w.Write([]byte(formatEntry(e))); err != nil {
+			if _, err := io.WriteString(w, e.Text()); err != nil {
 				return
 			}
 		}

@@ -5,19 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
-
-	"flep/internal/trace"
 )
-
-// formatEntry renders one trace entry like trace.Log.WriteText.
-func formatEntry(e trace.Entry) string {
-	return fmt.Sprintf("%12v %-8s %-8s %-8s [%2d,%2d) %s\n",
-		e.Time, e.Source, e.Kind, e.Kernel, e.SMLo, e.SMHi, e.Detail)
-}
 
 // LaunchRequest is the JSON body of POST /v1/launch: the serving-layer
 // equivalent of the transformed host program's flep_intercept call.
@@ -440,7 +433,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	case "text":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		for _, e := range entries {
-			if _, err := w.Write([]byte(formatEntry(e))); err != nil {
+			if _, err := io.WriteString(w, e.Text()); err != nil {
 				return
 			}
 		}

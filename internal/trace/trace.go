@@ -39,26 +39,32 @@ type Entry struct {
 // daemon appends from its event loop while HTTP handlers snapshot or export
 // the log.
 type Log struct {
-	// Limit, when positive, bounds the retained entries: Add drops the
-	// oldest entry once the log is full (a daemon would otherwise grow
-	// without bound). Set it before the first Add.
+	// Limit, when positive, bounds the retained entries: once the log is
+	// full it becomes a ring and Add overwrites the oldest entry, so a
+	// daemon neither grows without bound nor copies the window per event.
+	// Set it before the first Add; changing it afterwards is unsupported.
 	Limit int
 
 	mu      sync.Mutex
 	entries []Entry
+	start   int // index of the oldest entry once the ring has wrapped
 	dropped int
 }
 
-// Add appends an entry, evicting the oldest if Limit is exceeded.
+// Add appends an entry. At Limit it overwrites the oldest entry in O(1).
 func (l *Log) Add(e Entry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.entries = append(l.entries, e)
-	if l.Limit > 0 && len(l.entries) > l.Limit {
-		over := len(l.entries) - l.Limit
-		l.entries = append(l.entries[:0], l.entries[over:]...)
-		l.dropped += over
+	if l.Limit <= 0 || len(l.entries) < l.Limit {
+		l.entries = append(l.entries, e)
+		return
 	}
+	l.entries[l.start] = e
+	l.start++
+	if l.start == len(l.entries) {
+		l.start = 0
+	}
+	l.dropped++
 }
 
 // Dropped returns how many entries eviction has discarded.
@@ -79,19 +85,19 @@ func (l *Log) DeviceObserver() func(gpu.Event) {
 		l.Add(Entry{
 			Time: ev.Time, Source: "device", Kind: ev.Kind.String(),
 			Kernel: ev.Kernel, SMLo: ev.SMLo, SMHi: ev.SMHi,
-			Detail: fmt.Sprintf("remaining=%d", ev.Remaining),
+			Detail: "remaining=" + strconv.Itoa(ev.Remaining),
 		})
 	}
 }
 
-// snapshot returns a copy of the entries taken under the lock, so callers
-// can iterate without holding it.
+// snapshot returns a copy of the entries, oldest first, taken under the
+// lock so callers can iterate without holding it.
 func (l *Log) snapshot() []Entry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Entry, len(l.entries))
-	copy(out, l.entries)
-	return out
+	out := make([]Entry, 0, len(l.entries))
+	out = append(out, l.entries[l.start:]...)
+	return append(out, l.entries[:l.start]...)
 }
 
 // Entries returns a copy of the recorded entries.
@@ -115,12 +121,17 @@ func (l *Log) Filter(kind string) []Entry {
 	return out
 }
 
+// Text renders the entry as one line of the human-readable log, newline
+// included. WriteText and the /v1/trace?format=text handlers share it.
+func (e Entry) Text() string {
+	return fmt.Sprintf("%12v %-8s %-8s %-8s [%2d,%2d) %s\n",
+		e.Time, e.Source, e.Kind, e.Kernel, e.SMLo, e.SMHi, e.Detail)
+}
+
 // WriteText writes a human-readable log.
 func (l *Log) WriteText(w io.Writer) error {
 	for _, e := range l.snapshot() {
-		_, err := fmt.Fprintf(w, "%12v %-8s %-8s %-8s [%2d,%2d) %s\n",
-			e.Time, e.Source, e.Kind, e.Kernel, e.SMLo, e.SMHi, e.Detail)
-		if err != nil {
+		if _, err := io.WriteString(w, e.Text()); err != nil {
 			return err
 		}
 	}

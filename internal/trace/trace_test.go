@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -267,6 +269,132 @@ func TestLogLimitEvictsOldest(t *testing.T) {
 	}
 	if l.Dropped() != 7 {
 		t.Fatalf("dropped = %d, want 7", l.Dropped())
+	}
+}
+
+// ringEntry is the i-th entry of a synthetic stream mixing runtime and
+// device events, so Filter and Gantt have something to select.
+func ringEntry(i int) Entry {
+	kinds := []string{"resident", "drained", "complete", "submit"}
+	e := Entry{
+		Time: time.Duration(i), Source: "device", Kind: kinds[i%len(kinds)],
+		Kernel: "k" + strconv.Itoa(i%3), SMLo: 0, SMHi: 5 + i%11, Detail: "n=" + strconv.Itoa(i),
+	}
+	if e.Kind == "submit" {
+		e.Source = "runtime"
+	}
+	return e
+}
+
+// exports renders every read path of a log, for comparing two logs.
+func exports(t *testing.T, l *Log) string {
+	t.Helper()
+	var text, csvOut, js bytes.Buffer
+	if err := l.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WriteCSV(&csvOut); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%s\n%s\n%s\n%+v\n%+v", text.String(), csvOut.String(), js.String(), l.Filter("drained"), l.Gantt())
+}
+
+// At its limit the log is a ring: after wrapping many times over it must
+// read exactly like an unbounded log holding the same window.
+func TestLogRingMatchesReference(t *testing.T) {
+	for _, limit := range []int{1, 2, 7} {
+		l := Log{Limit: limit}
+		var all []Entry
+		for i := 0; i < 5*limit+3; i++ {
+			e := ringEntry(i)
+			l.Add(e)
+			all = append(all, e)
+
+			window := all[max(0, len(all)-limit):]
+			if l.Len() != len(window) || l.Len() > limit {
+				t.Fatalf("limit %d after %d adds: len = %d, want %d", limit, i+1, l.Len(), len(window))
+			}
+			if got, want := l.Dropped(), len(all)-len(window); got != want {
+				t.Fatalf("limit %d after %d adds: dropped = %d, want %d", limit, i+1, got, want)
+			}
+			got := l.Entries()
+			for j := range window {
+				if got[j] != window[j] {
+					t.Fatalf("limit %d after %d adds: entry %d = %+v, want %+v", limit, i+1, j, got[j], window[j])
+				}
+			}
+			ref := Log{}
+			for _, w := range window {
+				ref.Add(w)
+			}
+			if got, want := exports(t, &l), exports(t, &ref); got != want {
+				t.Fatalf("limit %d after %d adds: exports differ\n--- ring\n%s\n--- reference\n%s", limit, i+1, got, want)
+			}
+		}
+	}
+}
+
+func TestLogZeroLimitUnbounded(t *testing.T) {
+	var l Log
+	for i := 0; i < 1000; i++ {
+		l.Add(ringEntry(i))
+	}
+	if l.Len() != 1000 || l.Dropped() != 0 {
+		t.Fatalf("len = %d dropped = %d, want 1000 and 0", l.Len(), l.Dropped())
+	}
+	if es := l.Entries(); es[0].Time != 0 || es[999].Time != 999 {
+		t.Fatalf("window = [%v .. %v], want [0 .. 999]", es[0].Time, es[999].Time)
+	}
+}
+
+// A reader racing a writer at the limit must always see one contiguous,
+// oldest-first window, never a torn ring.
+func TestLogRingConcurrentSnapshots(t *testing.T) {
+	const limit, adds = 64, 20000
+	l := Log{Limit: limit}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < adds; i++ {
+			l.Add(Entry{Time: time.Duration(i)})
+		}
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		es := l.Entries()
+		if len(es) > limit {
+			t.Fatalf("snapshot of %d entries exceeds limit %d", len(es), limit)
+		}
+		for j := 1; j < len(es); j++ {
+			if es[j].Time != es[j-1].Time+1 {
+				t.Fatalf("torn snapshot at %d: %v then %v", j, es[j-1].Time, es[j].Time)
+			}
+		}
+	}
+	if l.Len() != limit || l.Dropped() != adds-limit {
+		t.Fatalf("len = %d dropped = %d, want %d and %d", l.Len(), l.Dropped(), limit, adds-limit)
+	}
+}
+
+// BenchmarkLogAddAtLimit is one Add into a full log at flepd's default
+// limit: the steady-state cost of tracing a long-running daemon.
+func BenchmarkLogAddAtLimit(b *testing.B) {
+	const limit = 65536
+	l := Log{Limit: limit}
+	for i := 0; i < limit; i++ {
+		l.Add(ringEntry(i))
+	}
+	e := ringEntry(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Add(e)
 	}
 }
 
